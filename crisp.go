@@ -193,7 +193,8 @@ type Server = serve.Server
 // ServerConfig re-exports the serving options, including the dynamic
 // batching knobs: MaxBatch coalesces concurrent Predict calls against one
 // personalization into shared engine invocations (1 disables), Linger
-// bounds how long a lone request waits for batch mates, and MaxQueue is
+// bounds how long a lone request waits for batch mates (a request on a
+// tenant idle for longer than Linger does not wait), and MaxQueue is
 // the admission-control bound — a full queue rejects with ErrOverloaded
 // instead of queueing without bound.
 //

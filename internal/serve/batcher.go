@@ -32,6 +32,9 @@ type predictReq struct {
 	// class for the queue-wait histogram.
 	deadline time.Time
 	class    QoSClass
+	// idle marks a leader that arrived more than linger after the
+	// batcher's last activity; its flush skips the linger.
+	idle bool
 	// preds is this request's slice of the fanned-out batch result; err is
 	// set instead when the whole batch failed (or the queue rejected it
 	// before enqueueing).
@@ -57,6 +60,8 @@ var lingerTimers sync.Pool
 // kick when the queue reaches maxBatch samples), then takes the whole queue,
 // runs one engine call over the concatenated inputs, and fans the argmax
 // rows back out to every waiter. Followers just block on their request.
+// A leader that arrives more than linger after the batcher's last activity
+// (see lastActive) flushes at once: an idle tenant has no batch mates coming.
 //
 // The engine call is bit-identical to running each request alone: batched
 // SpMM accumulates every output element in the same order regardless of
@@ -82,6 +87,12 @@ type batcher struct {
 	pending []*predictReq
 	queued  int  // samples in pending
 	forced  bool // a forceFlush kicked the current generation
+	// lastActive is the time of the latest arrival or flush completion;
+	// zero until the first arrival, so a fresh batcher lingers and a burst
+	// on a new tenant still coalesces. Counting completions keeps
+	// closed-loop callers, who resubmit as their batch returns, batching
+	// even when the engine call outlasts linger.
+	lastActive time.Time
 	// spareReqs/spareXs recycle the previous generation's queue and fan-out
 	// slices (returned by the leader after the flush, picked up by the next
 	// generation's first submit), so steady-state batching never regrows
@@ -137,6 +148,8 @@ func (b *batcher) submit(x *tensor.Tensor, class QoSClass, deadline time.Time) (
 		return nil, fmt.Errorf("%w (%d samples queued, bound %d)", ErrOverloaded, queued, b.maxQueue)
 	}
 	leader := len(b.pending) == 0
+	req.idle = leader && !b.lastActive.IsZero() && req.arrival.Sub(b.lastActive) > b.linger
+	b.lastActive = req.arrival
 	if b.pending == nil && b.spareReqs != nil {
 		b.pending, b.spareReqs = b.spareReqs, nil
 	}
@@ -204,7 +217,8 @@ func (b *batcher) flushWait(oldestArrival, oldestDeadline time.Time, now time.Ti
 }
 
 // lead is the leader's side of the protocol: linger, take the queue, run
-// the engine once, fan out.
+// the engine once, fan out. An idle leader skips the linger; its flush
+// counts as a linger flush whose window closed at zero.
 func (b *batcher) lead() {
 	deadlineCut := false
 	if b.linger > 0 {
@@ -212,11 +226,13 @@ func (b *batcher) lead() {
 		// The leader's own request is in pending (only lead removes), so
 		// the queue is non-empty; its head is the oldest rider.
 		oldest := b.pending[0]
-		arrival, deadline := oldest.arrival, oldest.deadline
+		arrival, deadline, idle := oldest.arrival, oldest.deadline, oldest.idle
 		b.mu.Unlock()
 
 		var wait time.Duration
-		wait, deadlineCut = b.flushWait(arrival, deadline, time.Now())
+		if !idle {
+			wait, deadlineCut = b.flushWait(arrival, deadline, time.Now())
+		}
 		if wait > 0 {
 			t, _ := lingerTimers.Get().(*time.Timer)
 			if t == nil {
@@ -287,6 +303,11 @@ func (b *batcher) lead() {
 		xs = append(xs, r.x)
 	}
 	preds, err := b.invoke(xs, total)
+	// Mark the completion before any rider is released, so a rider that
+	// resubmits at once finds a busy batcher and lingers for its peers.
+	b.mu.Lock()
+	b.lastActive = time.Now()
+	b.mu.Unlock()
 	off := 0
 	for _, r := range batch {
 		if err != nil {

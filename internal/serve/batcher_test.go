@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -190,6 +191,150 @@ func TestBatcherPanicFansOutError(t *testing.T) {
 	}
 }
 
+// TestBatcherIdleLeaderFlushesAtOnce: a leader arriving more than Linger
+// after the batcher's last activity has no batch mates coming, so it flushes
+// without lingering — counted as a linger flush whose window closed at zero.
+func TestBatcherIdleLeaderFlushesAtOnce(t *testing.T) {
+	const linger = time.Minute
+	b, c := stubBatcher(100, linger, 100)
+	b.lastActive = time.Now().Add(-time.Hour)
+	start := time.Now()
+	preds, err := b.submit(sample(5), QoSStandard, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(preds) != 1 || preds[0] != 5 {
+		t.Fatalf("preds %v, want [5]", preds)
+	}
+	if waited := time.Since(start); waited > linger/2 {
+		t.Fatalf("idle leader waited %v; it must flush at once", waited)
+	}
+	if c.batches.Load() != 1 || c.flushLinger.Load() != 1 {
+		t.Fatalf("batches=%d flushLinger=%d, want 1/1", c.batches.Load(), c.flushLinger.Load())
+	}
+	if c.flushSize.Load()+c.flushForced.Load()+c.flushDeadline.Load() != 0 {
+		t.Fatalf("idle flush miscounted: size=%d forced=%d deadline=%d",
+			c.flushSize.Load(), c.flushForced.Load(), c.flushDeadline.Load())
+	}
+}
+
+// TestBatcherLingersAfterFlushCompletion: a flush completion counts as
+// activity, so a request arriving just after one still lingers for batch
+// mates even though the last arrival is long past — closed-loop callers
+// resubmit as their batch returns and must keep sharing batches.
+func TestBatcherLingersAfterFlushCompletion(t *testing.T) {
+	b, c := stubBatcher(100, time.Minute, 100)
+	// The batcher's last arrival is an hour old and its window has closed,
+	// so lead() flushes it at once; the completion is the last activity.
+	old := time.Now().Add(-time.Hour)
+	req := &predictReq{
+		x: sample(1), rows: 1, done: make(chan struct{}, 1),
+		arrival: old, class: QoSStandard,
+	}
+	b.mu.Lock()
+	b.pending = append(b.pending, req)
+	b.queued = req.rows
+	b.lastActive = old
+	b.counters.queued.Add(int64(req.rows))
+	b.mu.Unlock()
+	b.lead()
+	<-req.done
+	if req.err != nil {
+		t.Fatal(req.err)
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		preds, err := b.submit(sample(2), QoSStandard, time.Time{})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if len(preds) != 1 || preds[0] != 2 {
+			t.Errorf("preds %v, want [2]", preds)
+		}
+	}()
+	waitFor(t, func() bool { return c.queued.Load() == 1 })
+	time.Sleep(20 * time.Millisecond)
+	if got := c.batches.Load(); got != 1 {
+		t.Fatalf("batches %d while the follow-up should linger, want 1", got)
+	}
+	b.forceFlush()
+	wg.Wait()
+	if got := c.flushForced.Load(); got != 1 {
+		t.Fatalf("flushForced %d, want 1 (the follow-up lingered until forced)", got)
+	}
+	if got := c.flushLinger.Load(); got != 1 {
+		t.Fatalf("flushLinger %d, want 1 (the planted rider only)", got)
+	}
+}
+
+// TestBatcherBurstAfterQuiet: the first request of a burst on a quiet tenant
+// flushes alone at once; the followers, arriving while it runs, see an
+// active batcher and share one batch.
+func TestBatcherBurstAfterQuiet(t *testing.T) {
+	const followers = 4
+	b, c := stubBatcher(followers, time.Minute, 100)
+	b.lastActive = time.Now().Add(-time.Hour)
+	inEngine, release := make(chan struct{}), make(chan struct{})
+	run := b.run
+	b.run = func(xs []*tensor.Tensor) []int {
+		if xs[0].Data[0] == 0 { // the burst's first request
+			close(inEngine)
+			<-release
+		}
+		return run(xs)
+	}
+
+	first := make(chan error, 1)
+	go func() {
+		preds, err := b.submit(sample(0), QoSStandard, time.Time{})
+		if err == nil && (len(preds) != 1 || preds[0] != 0) {
+			err = fmt.Errorf("first request got %v, want [0]", preds)
+		}
+		first <- err
+	}()
+	select {
+	case <-inEngine:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the burst's first request lingered; an idle leader must flush at once")
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(followers)
+	for i := 1; i <= followers; i++ {
+		go func(id int) {
+			defer wg.Done()
+			preds, err := b.submit(sample(id), QoSStandard, time.Time{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if len(preds) != 1 || preds[0] != id {
+				t.Errorf("follower %d got %v", id, preds)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+
+	if got := c.batches.Load(); got != 2 {
+		t.Fatalf("batches %d, want 2 (the first alone, the followers together)", got)
+	}
+	if c.flushLinger.Load() != 1 || c.flushSize.Load() != 1 {
+		t.Fatalf("flushLinger=%d flushSize=%d, want 1/1", c.flushLinger.Load(), c.flushSize.Load())
+	}
+	// Batch sizes 1 and 4: histogram buckets 0 and 2.
+	if c.hist[0].Load() != 1 || c.hist[2].Load() != 1 {
+		t.Fatalf("batch size hist %v, want one batch of 1 and one of 4", &c.hist)
+	}
+}
+
 // waitFor polls cond up to ~5s; the storm tests use it instead of sleeps.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
@@ -331,6 +476,45 @@ func TestServePredictRejectsBadShape(t *testing.T) {
 	}
 	if _, err := s.Predict([]int{1, 2}, nil); err == nil {
 		t.Fatal("nil input must be rejected")
+	}
+}
+
+// TestServePredictIdleSkipsLinger: of two predicts spaced by more than
+// Linger, the first (a fresh tenant, no history) waits out the linger and the
+// second, arriving at an idle batcher, flushes at once. QoS is off so no
+// latency deadline cuts the first window short.
+func TestServePredictIdleSkipsLinger(t *testing.T) {
+	opts := quickOpts()
+	opts.Linger = 100 * time.Millisecond
+	opts.QoS.Disabled = true
+	s := newTestServer(t, opts)
+	set := []int{1, 4}
+	if _, _, err := s.Personalize(set); err != nil {
+		t.Fatal(err)
+	}
+	xs := splitRows(s.ds.MakeSplit("batcher-idle", set, 1).X)
+	class := QoSStandard.String()
+
+	if _, err := s.Predict(set, xs[0]); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats().QueueWait[class]
+	if first := time.Duration(before.SumNS); before.Count != 1 || first < opts.Linger/2 {
+		t.Fatalf("first predict: %d riders, wait %v; a fresh tenant must linger", before.Count, first)
+	}
+	time.Sleep(opts.Linger + opts.Linger/2)
+	if _, err := s.Predict(set, xs[1]); err != nil {
+		t.Fatal(err)
+	}
+	after := s.Stats().QueueWait[class]
+	if after.Count != 2 {
+		t.Fatalf("%d riders measured, want 2", after.Count)
+	}
+	if second := time.Duration(after.SumNS - before.SumNS); second > opts.Linger/4 {
+		t.Fatalf("second predict waited %v after an idle gap, want well under Linger %v", second, opts.Linger)
+	}
+	if st := s.Stats(); st.FlushLinger != 2 || st.PredictBatches != 2 {
+		t.Fatalf("FlushLinger=%d PredictBatches=%d, want 2/2", st.FlushLinger, st.PredictBatches)
 	}
 }
 

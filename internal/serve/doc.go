@@ -52,6 +52,13 @@
 //     early the moment the queue reaches MaxBatch samples
 //     (Stats.FlushSize / Stats.FlushLinger / Stats.FlushForced record
 //     whether MaxBatch, the timer, or a DrainBatches flushed each batch).
+//     A leader arriving more than Linger after the batcher's last activity
+//     — its last arrival or its last flush completion — flushes at once,
+//     counted as a linger flush whose window closed at zero: a quiet
+//     tenant has no batch mates coming. Counting completions keeps
+//     closed-loop callers batching, since they resubmit as their batch
+//     returns, and a batcher with no history still lingers, so a burst on
+//     a fresh tenant coalesces.
 //   - Flushing: the leader takes the whole queue and runs ONE engine call
 //     over the sample tensors (inference.Engine.PredictBatch, which
 //     concatenates them inside the engine's recycled arena — a coalesced
@@ -96,7 +103,8 @@
 //     both anchored at the OLDEST rider — a leader descheduled between
 //     enqueueing and leading never taxes the queue with a second full
 //     linger, and a gold rider never spends its whole budget lingering for
-//     batch mates (Stats.FlushDeadline counts deadline-cut flushes). Queue
+//     batch mates (Stats.FlushDeadline counts deadline-cut flushes). An
+//     idle leader (see Leading above) skips this window entirely. Queue
 //     waits are recorded per class in Stats.QueueWait histograms
 //     (QueueWaitBoundsMS buckets).
 //   - Lanes: pool work is split into two priority lanes — explicit

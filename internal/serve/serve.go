@@ -47,7 +47,9 @@ type Options struct {
 	MaxBatch int
 	// Linger is how long a batch leader waits for more requests before
 	// flushing a sub-MaxBatch batch (<= 0: 2ms). It bounds the latency a
-	// lone request pays for the chance to share a batch.
+	// lone request pays for the chance to share a batch. It is also the
+	// idle threshold: a leader arriving more than Linger after its
+	// batcher's last arrival or flush completion flushes at once.
 	Linger time.Duration
 	// MaxQueue bounds each personalization's predict queue, in samples;
 	// a request that would overflow it is rejected with ErrOverloaded
@@ -209,9 +211,10 @@ type Stats struct {
 	Rejected uint64 `json:"rejected"`
 	// FlushSize, FlushLinger, FlushForced and FlushDeadline partition
 	// batched flushes by trigger: the queue reached MaxBatch samples, the
-	// linger window (relative to the oldest rider's arrival) closed, a
-	// DrainBatches forced a partial batch out, or the oldest rider's QoS
-	// latency budget neared exhaustion (deadline-aware linger).
+	// linger window (relative to the oldest rider's arrival; zero for a
+	// leader on an idle batcher) closed, a DrainBatches forced a partial
+	// batch out, or the oldest rider's QoS latency budget neared
+	// exhaustion (deadline-aware linger).
 	FlushSize     uint64 `json:"flush_size"`
 	FlushLinger   uint64 `json:"flush_linger"`
 	FlushForced   uint64 `json:"flush_forced"`
@@ -335,7 +338,7 @@ type predictCounters struct {
 	samples     atomic.Uint64    // samples those invocations served
 	rejected    atomic.Uint64    // admission-control drops
 	flushSize   atomic.Uint64    // batches flushed on MaxBatch
-	flushLinger atomic.Uint64    // batches flushed on the Linger timer
+	flushLinger atomic.Uint64    // batches flushed on the Linger timer or idle
 	flushForced atomic.Uint64    // partial batches forced out by DrainBatches
 	latencyNS   atomic.Uint64    // cumulative engine wall time
 	queued      atomic.Int64     // gauge: samples waiting across batchers

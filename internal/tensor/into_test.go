@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -14,8 +15,13 @@ func dirty(shape ...int) *Tensor {
 func TestTransposeInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	// Shapes straddling the cache-block edge: smaller, exact multiples,
-	// ragged remainders, and degenerate single-row/column cases.
-	for _, s := range [][2]int{{2, 3}, {32, 32}, {33, 65}, {100, 7}, {1, 129}, {64, 1}} {
+	// ragged remainders, degenerate single-row/column cases, and tall
+	// narrow sources (fewer columns than one cache block) with one column
+	// short of and exactly at the block edge.
+	for _, s := range [][2]int{
+		{2, 3}, {32, 32}, {33, 65}, {100, 7}, {1, 129}, {64, 1},
+		{1024, 16}, {97, CacheBlockF64 - 1}, {97, CacheBlockF64}, {4097, 3}, {5, 0},
+	} {
 		m := Randn(rng, 1, s[0], s[1])
 		want := New(s[1], s[0])
 		for i := 0; i < s[0]; i++ {
@@ -29,6 +35,22 @@ func TestTransposeInto(t *testing.T) {
 		if got := TransposeInto(m, dirty(s[1], s[0])); !Equal(got, want, 0) {
 			t.Fatalf("TransposeInto %v left dirty elements", s)
 		}
+	}
+}
+
+// BenchmarkTransposeInto covers the batch-last conv's two transposes: tall
+// narrow [pixels, batch] outputs back to sample-major, and wide inputs in.
+// 65536x16 is a narrow source larger than the L2 cache.
+func BenchmarkTransposeInto(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	for _, s := range [][2]int{{1024, 16}, {9216, 16}, {65536, 16}, {16, 9216}, {512, 512}} {
+		m := Randn(rng, 1, s[0], s[1])
+		dst := New(s[1], s[0])
+		b.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(b *testing.B) {
+			for b.Loop() {
+				TransposeInto(m, dst)
+			}
+		})
 	}
 }
 

@@ -272,7 +272,10 @@ func Transpose(m *Tensor) *Tensor {
 // transposed shape; every element of dst is overwritten, so dst may be an
 // uninitialized scratch buffer. The copy is cache-blocked: walking the
 // source row-major would stride the destination by its full row length, so
-// both sides are visited in square tiles instead. Returns dst.
+// both sides are visited in square tiles instead. A source narrower than
+// one tile is copied in row strips: square tiles there would write c
+// short runs a whole destination row apart, which thrash the cache when
+// that row length is a multiple of 4 KiB. Returns dst.
 func TransposeInto(m, dst *Tensor) *Tensor {
 	if len(m.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: TransposeInto requires rank-2, got %v", m.Shape))
@@ -280,6 +283,21 @@ func TransposeInto(m, dst *Tensor) *Tensor {
 	r, c := m.Shape[0], m.Shape[1]
 	if len(dst.Shape) != 2 || dst.Shape[0] != c || dst.Shape[1] != r {
 		panic(fmt.Sprintf("tensor: TransposeInto dst %v, want [%d %d]", dst.Shape, c, r))
+	}
+	if c > 0 && c < CacheBlockF64 {
+		// Strips of one tile's area keep the source strip cache-resident
+		// while each destination row's share of it is written in one run.
+		strip := CacheBlockF64 * CacheBlockF64 / c
+		for i0 := 0; i0 < r; i0 += strip {
+			i1 := min(i0+strip, r)
+			for j := 0; j < c; j++ {
+				run := dst.Data[j*r+i0 : j*r+i1]
+				for k := range run {
+					run[k] = m.Data[(i0+k)*c+j]
+				}
+			}
+		}
+		return dst
 	}
 	for i0 := 0; i0 < r; i0 += CacheBlockF64 {
 		i1 := i0 + CacheBlockF64
